@@ -112,7 +112,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := classifier.RunContinuous(stream, 1)
+	results, err := classifier.RunContinuous(stream)
 	if err != nil {
 		log.Fatal(err)
 	}

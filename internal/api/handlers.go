@@ -522,22 +522,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request, u *proje
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, "impulse is not trained")
 		return
 	}
-	canonical := imp.CanonicalSignal()
-	sig := dsp.Signal{
-		Data: req.Features, Rate: canonical.Rate, Axes: canonical.Axes,
-		Width: canonical.Width, Height: canonical.Height,
-	}
-	var res core.ClassResult
-	var err error
-	if req.Quantized {
-		res, err = imp.ClassifyQuantized(sig)
-	} else {
-		res, err = imp.Classify(sig)
-	}
+	inf, err := imp.Infer(imp.WindowSignal(req.Features), req.Quantized)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, v1.CodeBadRequest, err.Error())
 		return
 	}
+	res := inf.Result(imp.Classes)
 	writeJSON(w, http.StatusOK, v1.ClassifyResponse{
 		Success: true, Label: res.Label,
 		Classification: res.Scores, Anomaly: res.AnomalyScore,

@@ -34,6 +34,11 @@ type Follower struct {
 	interval time.Duration
 	log      *slog.Logger
 
+	// round serializes sync rounds: an explicit SyncOnce must not
+	// interleave with the background loop's, or both ship the same
+	// segment bytes and apply the same journal frames.
+	round sync.Mutex
+
 	mu       sync.Mutex
 	lastErr  string
 	rounds   int64
@@ -128,6 +133,8 @@ func (f *Follower) LastError() string {
 // project's segments and journal. Per-project failures are recorded
 // and skipped; the round continues.
 func (f *Follower) SyncOnce(ctx context.Context) error {
+	f.round.Lock()
+	defer f.round.Unlock()
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"edgepulse/internal/anomaly"
 	"edgepulse/internal/data"
@@ -276,23 +277,26 @@ func (imp *Impulse) Validate() error {
 // CanonicalSignal returns a zero signal with the canonical window
 // geometry; used for shape, cost and memory queries.
 func (imp *Impulse) CanonicalSignal() dsp.Signal {
+	sig := imp.WindowSignal(nil)
+	n := imp.Input.WindowSamples()
+	if imp.Input.Kind == ImageInput {
+		n = sig.Width * sig.Height
+	}
+	sig.Data = make([]float32, n*sig.Axes)
+	return sig
+}
+
+// WindowSignal wraps one window of raw values (interleaved axes, or
+// pixels for images) in the input block's geometry without copying.
+func (imp *Impulse) WindowSignal(data []float32) dsp.Signal {
 	if imp.Input.Kind == ImageInput {
 		axes := imp.Input.Axes
 		if axes == 0 {
 			axes = 3
 		}
-		return dsp.Signal{
-			Data:  make([]float32, imp.Input.Width*imp.Input.Height*axes),
-			Axes:  axes,
-			Width: imp.Input.Width, Height: imp.Input.Height,
-		}
+		return dsp.Signal{Data: data, Axes: axes, Width: imp.Input.Width, Height: imp.Input.Height}
 	}
-	n := imp.Input.WindowSamples()
-	return dsp.Signal{
-		Data: make([]float32, n*imp.Input.Axes),
-		Rate: imp.Input.FrequencyHz,
-		Axes: imp.Input.Axes,
-	}
+	return dsp.Signal{Data: data, Rate: imp.Input.FrequencyHz, Axes: imp.Input.Axes}
 }
 
 // canonicalFor returns the canonical window geometry as seen by one DSP
@@ -759,6 +763,76 @@ type ClassResult struct {
 	AnomalyScore float64
 }
 
+// Inference is the raw outcome of one pass through the pipeline.
+type Inference struct {
+	// Probs holds the classifier's class probabilities in Classes
+	// order (nil without a classifier).
+	Probs []float32
+	// Anomaly is the K-means score (0 without an anomaly block).
+	Anomaly float64
+	// DSP is the feature extraction duration; Learn covers the learn
+	// blocks (classifier forward pass and anomaly scoring).
+	DSP, Learn time.Duration
+}
+
+// Infer runs the pipeline on one window of raw signal: the DSP graph
+// once, then the classifier's view through the int8 model (when
+// quantized and one exists) or the float model, then the anomaly
+// block's view through the K-means scorer. Every classify entry point
+// (core, SDK, stream, EIM, API) goes through here.
+func (imp *Impulse) Infer(sig dsp.Signal, quantized bool) (Inference, error) {
+	t0 := time.Now()
+	composite, layout, err := imp.ExtractComposite(sig)
+	if err != nil {
+		return Inference{}, err
+	}
+	t1 := time.Now()
+	inf := Inference{DSP: t1.Sub(t0)}
+	useQuant := quantized && imp.QModel != nil
+	switch {
+	case useQuant || imp.Model != nil:
+		x, err := imp.ClassifierFeaturesFrom(composite, layout)
+		if err != nil {
+			return Inference{}, err
+		}
+		if useQuant {
+			inf.Probs = imp.QModel.Forward(x).Data
+		} else {
+			inf.Probs = imp.Model.Forward(x).Data
+		}
+	case imp.Anomaly == nil:
+		return Inference{}, fmt.Errorf("core: impulse has no learn block")
+	}
+	if imp.Anomaly != nil {
+		av, err := imp.AnomalyFeaturesFrom(composite, layout)
+		if err != nil {
+			return Inference{}, err
+		}
+		inf.Anomaly = imp.Anomaly.Score(av.Data)
+	}
+	inf.Learn = time.Since(t1)
+	return inf, nil
+}
+
+// Result labels an inference with the given classes: the argmax class
+// (first on ties) and a score per class.
+func (inf Inference) Result(classes []string) ClassResult {
+	res := ClassResult{Scores: map[string]float32{}, AnomalyScore: inf.Anomaly}
+	best := -1
+	for i, p := range inf.Probs {
+		if best < 0 || p > inf.Probs[best] {
+			best = i
+		}
+		if i < len(classes) {
+			res.Scores[classes[i]] = p
+		}
+	}
+	if best >= 0 && best < len(classes) {
+		res.Label = classes[best]
+	}
+	return res
+}
+
 // Classify runs the full pipeline (DSP graph + float model [+ anomaly])
 // on one window of raw signal. The DSP blocks run once; each learn
 // block consumes its declared view of the composite feature vector.
@@ -772,62 +846,21 @@ func (imp *Impulse) ClassifyQuantized(sig dsp.Signal) (ClassResult, error) {
 }
 
 func (imp *Impulse) classify(sig dsp.Signal, quantized bool) (ClassResult, error) {
-	composite, layout, err := imp.ExtractComposite(sig)
+	inf, err := imp.Infer(sig, quantized)
 	if err != nil {
 		return ClassResult{}, err
 	}
-	res := ClassResult{Scores: map[string]float32{}}
-	var probs *tensor.F32
-	useQuant := quantized && imp.QModel != nil
-	switch {
-	case useQuant || imp.Model != nil:
-		x, err := imp.ClassifierFeaturesFrom(composite, layout)
-		if err != nil {
-			return ClassResult{}, err
-		}
-		if useQuant {
-			probs = imp.QModel.Forward(x)
-		} else {
-			probs = imp.Model.Forward(x)
-		}
-	case imp.Anomaly == nil:
-		return ClassResult{}, fmt.Errorf("core: impulse has no learn block")
-	}
-	if probs != nil {
-		best := probs.ArgMax()
-		for i, c := range imp.Classes {
-			if i < len(probs.Data) {
-				res.Scores[c] = probs.Data[i]
-			}
-		}
-		if best >= 0 && best < len(imp.Classes) {
-			res.Label = imp.Classes[best]
-		}
-	}
-	if imp.Anomaly != nil {
-		av, err := imp.AnomalyFeaturesFrom(composite, layout)
-		if err != nil {
-			return ClassResult{}, err
-		}
-		res.AnomalyScore = imp.Anomaly.Score(av.Data)
-	}
-	return res, nil
+	return inf.Result(imp.Classes), nil
 }
 
-// ClassifyBatch classifies a batch of raw feature windows in one call,
-// amortizing per-request setup: the DSP runtime tables and the model's
-// plan arenas are pooled, so every window after the first runs against
-// warm scratch. Results are ordered like the input; the first failing
-// window aborts the whole batch.
+// ClassifyBatch classifies a batch of raw windows in one call. It is a
+// loop over the single-window pipeline, so it saves the caller's
+// per-request overhead but no per-window work. Results are ordered
+// like the input; the first failing window aborts the whole batch.
 func (imp *Impulse) ClassifyBatch(windows [][]float32, quantized bool) ([]ClassResult, error) {
-	canonical := imp.CanonicalSignal()
 	out := make([]ClassResult, len(windows))
 	for i, win := range windows {
-		sig := dsp.Signal{
-			Data: win, Rate: canonical.Rate, Axes: canonical.Axes,
-			Width: canonical.Width, Height: canonical.Height,
-		}
-		res, err := imp.classify(sig, quantized)
+		res, err := imp.classify(imp.WindowSignal(win), quantized)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch window %d: %w", i, err)
 		}

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"edgepulse/internal/core"
-	"edgepulse/internal/dsp"
 )
 
 // Request is one protocol message from the client.
@@ -159,22 +158,11 @@ func (s *Server) dispatch(req Request) Response {
 }
 
 func (s *Server) classify(req Request) Response {
-	canonical := s.imp.CanonicalSignal()
-	sig := dsp.Signal{
-		Data: req.Classify.Features,
-		Rate: canonical.Rate, Axes: canonical.Axes,
-		Width: canonical.Width, Height: canonical.Height,
-	}
-	var res core.ClassResult
-	var err error
-	if req.Classify.Quantized {
-		res, err = s.imp.ClassifyQuantized(sig)
-	} else {
-		res, err = s.imp.Classify(sig)
-	}
+	inf, err := s.imp.Infer(s.imp.WindowSignal(req.Classify.Features), req.Classify.Quantized)
 	if err != nil {
 		return Response{ID: req.ID, Success: false, Error: err.Error()}
 	}
+	res := inf.Result(s.imp.Classes)
 	return Response{ID: req.ID, Success: true, Result: &ClassifyReply{
 		Classification: res.Scores,
 		Label:          res.Label,

@@ -7,8 +7,8 @@
 //
 // Two artifacts come out of a compilation:
 //
-//   - Program: a runnable in-process plan (used by the SDK and the EIM
-//     runner) with no per-op registry lookups.
+//   - Program: a runnable in-process plan with no per-op registry
+//     lookups, used by deploy and the benchmarks.
 //   - C++ source (EmitCPP): the deployable library the real platform
 //     ships, reproduced here as generated text with the same structure.
 package eon

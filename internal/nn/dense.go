@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"edgepulse/internal/fastmath"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
 )
 
 func sigmoid(v float32) float32 {
-	if fastmath.Enabled() {
-		return fastmath.SigmoidFast(v)
-	}
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 

@@ -12,7 +12,6 @@ import (
 	"math"
 	"sync"
 
-	"edgepulse/internal/fastmath"
 	"edgepulse/internal/nn"
 	"edgepulse/internal/simd"
 	"edgepulse/internal/tensor"
@@ -213,12 +212,7 @@ func softmaxFloat(x *tensor.I8, s *qScratch) *tensor.F32 {
 	}
 	var sum float64
 	for i, v := range logits {
-		var e float64
-		if fastmath.Enabled() {
-			e = float64(fastmath.ExpFast(v - max))
-		} else {
-			e = math.Exp(float64(v - max))
-		}
+		e := math.Exp(float64(v - max))
 		out.Data[i] = float32(e)
 		sum += e
 	}

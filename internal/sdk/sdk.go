@@ -1,8 +1,8 @@
 // Package sdk is the inferencing SDK (paper Sec. 4.6): the runtime a
 // deployed application links against. It wraps an impulse with the
 // run_classifier entry point, per-stage timing (the measurements Table 2
-// reports), and continuous classification over streaming signals with
-// result smoothing — the same surface the platform's C++ SDK exposes.
+// reports), and continuous classification over streaming signals — the
+// same surface the platform's C++ SDK exposes.
 package sdk
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	"edgepulse/internal/core"
 	"edgepulse/internal/dsp"
-	"edgepulse/internal/tensor"
 )
 
 // Timing reports where one classification spent its time, mirroring the
@@ -27,12 +26,7 @@ type Timing struct {
 
 // Result is one classification with timing.
 type Result struct {
-	// Label is the argmax class.
-	Label string
-	// Scores maps classes to probabilities.
-	Scores map[string]float32
-	// AnomalyScore is set when the impulse has an anomaly block.
-	AnomalyScore float64
+	core.ClassResult
 	// Timing reports per-stage durations.
 	Timing Timing
 	// WindowStart is the window's offset in samples for continuous runs.
@@ -59,73 +53,27 @@ func NewClassifier(imp *core.Impulse) (*Classifier, error) {
 }
 
 // RunClassifier executes the DSP graph + inference on one window of raw
-// signal, timing each stage — the SDK's main entry point. The blocks
-// run once; each learn block consumes its declared view of the
-// composite feature vector.
+// signal through core.Impulse.Infer, timing each stage — the SDK's main
+// entry point.
 func (c *Classifier) RunClassifier(sig dsp.Signal) (Result, error) {
 	t0 := time.Now()
-	composite, layout, err := c.imp.ExtractComposite(sig)
+	inf, err := c.imp.Infer(sig, c.UseQuantized)
 	if err != nil {
 		return Result{}, err
 	}
-	tDSP := time.Since(t0)
-
-	t1 := time.Now()
-	res := Result{Scores: map[string]float32{}}
-	if (c.UseQuantized && c.imp.QModel != nil) || c.imp.Model != nil {
-		x, err := c.imp.ClassifierFeaturesFrom(composite, layout)
-		if err != nil {
-			return Result{}, err
-		}
-		var probs *tensor.F32
-		if c.UseQuantized && c.imp.QModel != nil {
-			probs = c.imp.QModel.Forward(x)
-		} else {
-			probs = c.imp.Model.Forward(x)
-		}
-		fillScores(&res, c.imp.Classes, probs.Data)
-	}
-	if c.imp.Anomaly != nil {
-		av, err := c.imp.AnomalyFeaturesFrom(composite, layout)
-		if err != nil {
-			return Result{}, err
-		}
-		res.AnomalyScore = c.imp.Anomaly.Score(av.Data)
-	}
-	tNN := time.Since(t1)
-
-	res.Timing = Timing{DSP: tDSP, Classification: tNN, Total: time.Since(t0)}
-	return res, nil
-}
-
-func fillScores(res *Result, classes []string, probs []float32) {
-	best := 0
-	for i := range probs {
-		if probs[i] > probs[best] {
-			best = i
-		}
-	}
-	for i, cl := range classes {
-		if i < len(probs) {
-			res.Scores[cl] = probs[i]
-		}
-	}
-	if best < len(classes) {
-		res.Label = classes[best]
-	}
+	return Result{
+		ClassResult: inf.Result(c.imp.Classes),
+		Timing:      Timing{DSP: inf.DSP, Classification: inf.Learn, Total: time.Since(t0)},
+	}, nil
 }
 
 // RunContinuous slides the impulse's window over a long signal and
-// classifies every position, smoothing scores with a moving-average
-// filter of length maf (1 disables smoothing) — the SDK's continuous
-// classification mode for streaming audio/sensor data.
-func (c *Classifier) RunContinuous(stream dsp.Signal, maf int) ([]Result, error) {
-	if maf < 1 {
-		maf = 1
-	}
+// classifies every position — the SDK's continuous classification mode
+// for streaming audio/sensor data. Results are per window and
+// unsmoothed; stream.Debouncer turns them into events.
+func (c *Classifier) RunContinuous(stream dsp.Signal) ([]Result, error) {
 	wins := c.imp.Windows(stream)
 	results := make([]Result, 0, len(wins))
-	history := map[string][]float32{}
 	stride := c.imp.Input.StrideSamples()
 	for i, w := range wins {
 		r, err := c.RunClassifier(w)
@@ -133,29 +81,6 @@ func (c *Classifier) RunContinuous(stream dsp.Signal, maf int) ([]Result, error)
 			return nil, err
 		}
 		r.WindowStart = i * stride
-		// Moving average over the last maf windows, per class.
-		for cl, s := range r.Scores {
-			h := append(history[cl], s)
-			if len(h) > maf {
-				h = h[len(h)-maf:]
-			}
-			history[cl] = h
-			var sum float32
-			for _, v := range h {
-				sum += v
-			}
-			r.Scores[cl] = sum / float32(len(h))
-		}
-		// Recompute label after smoothing.
-		bestLabel, bestScore := "", float32(-1)
-		for cl, s := range r.Scores {
-			if s > bestScore {
-				bestLabel, bestScore = cl, s
-			}
-		}
-		if bestLabel != "" {
-			r.Label = bestLabel
-		}
 		results = append(results, r)
 	}
 	return results, nil

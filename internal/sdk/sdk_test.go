@@ -118,11 +118,11 @@ func TestQuantizedPath(t *testing.T) {
 func TestRunContinuousSmoothing(t *testing.T) {
 	imp, _ := trainedImpulse(t)
 	c, _ := NewClassifier(imp)
-	stream, events, err := synth.Stream(imp.Classes[0], 8000, 8, 2, 0.02, 21)
+	stream, _, err := synth.Stream(imp.Classes[0], 8000, 8, 2, 0.02, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := c.RunContinuous(stream, 3)
+	results, err := c.RunContinuous(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,6 @@ func TestRunContinuousSmoothing(t *testing.T) {
 			t.Fatalf("window %d start %d", i, r.WindowStart)
 		}
 	}
-	_ = events
 }
 
 func TestNewClassifierValidation(t *testing.T) {
@@ -253,7 +252,7 @@ func TestRunClassifierViewRestrictedLearnBlocks(t *testing.T) {
 	if res.Label != want.Label || res.AnomalyScore != want.AnomalyScore {
 		t.Fatalf("sdk %v/%v != core %v/%v", res.Label, res.AnomalyScore, want.Label, want.AnomalyScore)
 	}
-	if _, err := c.RunContinuous(clip.Signal, 2); err != nil {
+	if _, err := c.RunContinuous(clip.Signal); err != nil {
 		t.Fatal(err)
 	}
 }

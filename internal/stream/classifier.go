@@ -5,20 +5,20 @@ import (
 
 	"edgepulse/internal/core"
 	"edgepulse/internal/dsp"
-	"edgepulse/internal/tensor"
 )
 
 // impulseClassifier adapts a trained impulse to the session hot path. It
-// bypasses Impulse.Classify's per-call map/ClassResult construction and
-// goes straight through the pooled composite-extraction + forward path,
-// so steady-state streaming stays within the one-shot allocation budget.
+// calls Impulse.Infer and copies the probabilities into the session's
+// score buffer, skipping the per-call label map that Impulse.Classify
+// builds, so steady-state streaming stays within the one-shot
+// allocation budget.
 type impulseClassifier struct {
 	imp       *core.Impulse
 	quantized bool
 }
 
 // NewImpulseClassifier wraps a trained impulse for streaming. quantized
-// selects the int8 model when available (falling back to float if not).
+// selects the int8 model, which must exist.
 func NewImpulseClassifier(imp *core.Impulse, quantized bool) (Classifier, error) {
 	if imp == nil {
 		return nil, fmt.Errorf("stream: nil impulse")
@@ -41,23 +41,13 @@ func NewImpulseClassifier(imp *core.Impulse, quantized bool) (Classifier, error)
 func (c *impulseClassifier) Classes() []string { return c.imp.Classes }
 
 func (c *impulseClassifier) Classify(win dsp.Signal, scores []float32) error {
-	composite, layout, err := c.imp.ExtractComposite(win)
+	inf, err := c.imp.Infer(win, c.quantized)
 	if err != nil {
 		return err
 	}
-	x, err := c.imp.ClassifierFeaturesFrom(composite, layout)
-	if err != nil {
-		return err
+	if len(inf.Probs) != len(scores) {
+		return fmt.Errorf("stream: model emitted %d scores, want %d", len(inf.Probs), len(scores))
 	}
-	var probs *tensor.F32
-	if c.quantized {
-		probs = c.imp.QModel.Forward(x)
-	} else {
-		probs = c.imp.Model.Forward(x)
-	}
-	if len(probs.Data) != len(scores) {
-		return fmt.Errorf("stream: model emitted %d scores, want %d", len(probs.Data), len(scores))
-	}
-	copy(scores, probs.Data)
+	copy(scores, inf.Probs)
 	return nil
 }
